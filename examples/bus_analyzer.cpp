@@ -1,6 +1,7 @@
 // Bus analyzer — decode a candump log through the rtec identifier layout.
 //
-// Works on logs recorded by this simulator (trace/candump.hpp) or captured
+// Works on logs recorded by this simulator (an RTEB capture rendered as
+// candump text, as --demo does and `rtec_trace to-candump` does) or captured
 // from a real interface running the protocol (`candump -l can0`). Prints
 // per-class and per-channel statistics: frame counts, payload bytes, bus
 // time at the configured bit rate, inter-arrival statistics per etag, and
@@ -8,7 +9,8 @@
 //
 // Usage:
 //   bus_analyzer <logfile> [bitrate]
-//   bus_analyzer --demo            # record a demo scenario, then analyze it
+//   bus_analyzer --demo [log-out]  # record a demo scenario, then analyze it;
+//                                  # log-out receives the recorded log
 //
 // Example:
 //   ./build/examples/bus_analyzer --demo
@@ -25,6 +27,7 @@
 #include "lint_check.hpp"
 #include "sched/id_codec.hpp"
 #include "time/periodic.hpp"
+#include "trace/binary.hpp"
 #include "trace/candump.hpp"
 #include "util/stats.hpp"
 
@@ -50,7 +53,7 @@ std::string record_demo() {
   slot.publisher = a.id();
   (void)scn.calendar().reserve(slot);
   (void)examples::lint_calendar_or_report(scn.calendar(), "bus_analyzer demo");
-  CandumpRecorder recorder{scn.bus(), "rtec0"};
+  const trace::RtebRecorder& recorder = scn.record_rteb();
 
   scn.run_for(20_ms);
   Hrtec pub{a.middleware()};
@@ -75,9 +78,7 @@ std::string record_demo() {
   chat.start();
 
   scn.run_for(500_ms);
-  std::string text;
-  for (const auto& line : recorder.lines()) text += line + "\n";
-  return text;
+  return trace::rteb_to_candump(recorder.bytes(), "rtec0").value_or("");
 }
 
 const char* class_name(TrafficClass c) {
@@ -97,6 +98,14 @@ int main(int argc, char** argv) {
   if (argc >= 2 && std::strcmp(argv[1], "--demo") == 0) {
     std::puts("(recording a 0.5 s demo scenario first)\n");
     text = record_demo();
+    if (argc >= 3) {
+      std::ofstream out{argv[2]};
+      out << text;
+      if (!out) {
+        std::fprintf(stderr, "cannot write %s\n", argv[2]);
+        return 2;
+      }
+    }
   } else if (argc >= 2) {
     std::ifstream in{argv[1]};
     if (!in) {
@@ -108,7 +117,8 @@ int main(int argc, char** argv) {
     text = ss.str();
     if (argc >= 3) bus.bitrate_bps = std::atoll(argv[2]);
   } else {
-    std::fprintf(stderr, "usage: %s <candump-log> [bitrate] | --demo\n",
+    std::fprintf(stderr,
+                 "usage: %s <candump-log> [bitrate] | --demo [log-out]\n",
                  argv[0]);
     return 2;
   }

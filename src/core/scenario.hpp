@@ -59,10 +59,6 @@ class Scenario {
     /// Worker threads driving shard epochs; 0 = one per shard. 1 runs the
     /// sharded scenario sequentially (identical results, no concurrency).
     unsigned threads = 0;
-    /// Horizon policy for the conservative engine. kPerLink is the
-    /// default; kGlobalMin reproduces the PR 3 coordinator for paired
-    /// epoch-count benchmarking (traces are identical either way).
-    LookaheadMode lookahead = LookaheadMode::kPerLink;
   };
 
   Scenario() : Scenario(Config{}) {}

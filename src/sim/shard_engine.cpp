@@ -5,6 +5,8 @@
 #include <bit>
 #include <cassert>
 #include <condition_variable>
+#include <cstdio>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <queue>
@@ -200,8 +202,16 @@ HandoffChannel& ShardEngine::link(std::size_t from, std::size_t to,
     batch = directions_[it->second].batch.get();
     incoming_dirty_ = true;
   }
-  assert(channels_.size() < (std::size_t{1} << 10) &&
-         "handoff channel id space exhausted (Simulator::kChannelBits)");
+  // Channel ids share the kernel's ordering word with the lane bit; an id
+  // past kChannelBits would alias a low id and silently break the
+  // deterministic order, so this is checked in every build.
+  if (channels_.size() >= (std::size_t{1} << Simulator::kChannelBits)) {
+    std::fprintf(stderr,
+                 "rtec: ShardEngine::link: handoff channel id space "
+                 "exhausted (%zu channels, Simulator::kChannelBits = %u)\n",
+                 channels_.size() + 1, Simulator::kChannelBits);
+    std::terminate();
+  }
   channels_.push_back(std::make_unique<HandoffChannel>(
       *shards_[to], static_cast<std::uint32_t>(channels_.size()), latency,
       batch));
@@ -242,13 +252,9 @@ TimePoint ShardEngine::drain_and_peek() {
   return next_min;
 }
 
-void ShardEngine::compute_horizons(TimePoint end_excl, TimePoint next_min) {
+void ShardEngine::compute_horizons(TimePoint end_excl) {
   active_.clear();
-  const TimePoint global_h =
-      has_cross_shard_
-          ? std::min(end_excl, saturating_add(next_min, lookahead_))
-          : end_excl;
-  if (mode_ == LookaheadMode::kPerLink && has_cross_shard_) {
+  if (has_cross_shard_) {
     // Earliest output time of each shard: the least fixpoint of
     //   ET_j = min(N_j, min over incoming (k -> j) of ET_k + L_kj),
     // i.e. multi-source Dijkstra over the positive-latency link graph
@@ -279,15 +285,11 @@ void ShardEngine::compute_horizons(TimePoint end_excl, TimePoint next_min) {
     }
   }
   for (std::size_t i = 0; i < shards_.size(); ++i) {
+    // H_i = min over incoming links (j -> i) of ET_j + L_ji. A feeder
+    // nothing can ever reach (ET_j == max) imposes no constraint.
     TimePoint h = end_excl;
-    if (mode_ == LookaheadMode::kGlobalMin) {
-      h = global_h;
-    } else {
-      // H_i = min over incoming links (j -> i) of ET_j + L_ji. A feeder
-      // nothing can ever reach (ET_j == max) imposes no constraint.
-      for (const Edge& in : incoming_[i])
-        h = std::min(h, saturating_add(et_[in.peer], in.latency));
-    }
+    for (const Edge& in : incoming_[i])
+      h = std::min(h, saturating_add(et_[in.peer], in.latency));
     horizon_[i] = h;
     if (next_[i] < h) {
       active_.push_back(static_cast<std::uint32_t>(i));
@@ -340,7 +342,7 @@ void ShardEngine::run_until(TimePoint t) {
     if (epoch_span_ != nullptr && prev_min != TimePoint::max())
       epoch_span_->record((next_min - prev_min).ns());
     prev_min = next_min;
-    compute_horizons(end_excl, next_min);
+    compute_horizons(end_excl);
     ++stats_.epochs;
     stats_.shard_runs += active_.size();
     if (pool && active_.size() > 1) {

@@ -53,33 +53,23 @@
 /// minimum N has ET = N and every bound on it exceeds N — it always
 /// executes at least one event per epoch.
 ///
-/// The legacy PR 3 engine (one global horizon, N + min latency over *all*
-/// links) is retained as `LookaheadMode::kGlobalMin` for paired
-/// benchmarking and regression tests; per-link is the default and is
-/// never slower in epochs (each H_i is >= the global horizon).
+/// Per-link horizons are never slower in epochs than one global horizon
+/// (N + min latency over *all* links): each H_i is >= that bound.
+/// docs/performance.md §4 records the measured epoch reduction.
 ///
-/// Determinism: results are bit-identical for every shard/thread count
-/// and either lookahead mode. Within an epoch shards share no mutable
-/// state (direction batches are written only by their source shard and
-/// drained only at barriers), and the injected lane orders handoffs by
-/// their (channel, seq) identity rather than by injection time, so
-/// neither barrier placement nor batch drain order can perturb delivery
-/// order — see simulator.hpp and docs/performance.md §4.
+/// Determinism: results are bit-identical for every shard/thread count.
+/// Within an epoch shards share no mutable state (direction batches are
+/// written only by their source shard and drained only at barriers), and
+/// the injected lane orders handoffs by their (channel, seq) identity
+/// rather than by injection time, so neither barrier placement nor batch
+/// drain order can perturb delivery order — see simulator.hpp and
+/// docs/performance.md §4.
 /// tests/test_multiseg.cpp verifies bit-identity across shard counts
 /// {1, 2, N} × worker counts, seeds and topology shapes; the epoch
 /// barriers are the only cross-thread synchronization, verified under
 /// TSan.
 
 namespace rtec {
-
-/// Horizon policy for the conservative coordinator.
-enum class LookaheadMode {
-  /// Per-shard horizons from incoming links only (default).
-  kPerLink,
-  /// PR 3 behaviour: one global horizon N + min latency over all links.
-  /// Kept for paired epoch-count benchmarking; produces identical traces.
-  kGlobalMin,
-};
 
 class ShardEngine {
  public:
@@ -105,18 +95,14 @@ class ShardEngine {
   void set_threads(unsigned n) { threads_ = n == 0 ? 1 : n; }
   [[nodiscard]] unsigned threads() const { return threads_; }
 
-  void set_lookahead_mode(LookaheadMode m) { mode_ = m; }
-  [[nodiscard]] LookaheadMode lookahead_mode() const { return mode_; }
-
   /// Runs every shard up to and including `t` and leaves all kernels with
   /// now() == t. Callable repeatedly; handoffs committed at exactly `t`
   /// stay buffered and are injected by the next call.
   void run_until(TimePoint t);
 
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
-  /// Minimum cross-shard channel latency (the kGlobalMin lookahead and a
-  /// whole-topology diagnostic); Duration::max() when every channel is
-  /// intra-shard.
+  /// Minimum cross-shard channel latency (a whole-topology diagnostic);
+  /// Duration::max() when every channel is intra-shard.
   [[nodiscard]] Duration lookahead() const { return lookahead_; }
   /// Minimum latency over the links *into* `shard` — the per-link bound
   /// on how far it may trail its slowest feeder; Duration::max() when
@@ -180,9 +166,9 @@ class ShardEngine {
   /// returns the global minimum next-event time (TimePoint::max() when
   /// all kernels drained).
   TimePoint drain_and_peek();
-  /// Fills `horizon_` and `active_` for one epoch given the global
-  /// minimum `next_min` and the exclusive run bound.
-  void compute_horizons(TimePoint end_excl, TimePoint next_min);
+  /// Fills `horizon_` and `active_` for one epoch given the exclusive
+  /// run bound.
+  void compute_horizons(TimePoint end_excl);
   void rebuild_incoming();
 
   std::vector<Simulator*> shards_;
@@ -199,7 +185,6 @@ class ShardEngine {
   Duration lookahead_ = Duration::max();
   bool has_cross_shard_ = false;
   unsigned threads_ = 1;
-  LookaheadMode mode_ = LookaheadMode::kPerLink;
   Stats stats_;
   SpanStats* epoch_span_ = nullptr;  ///< nullptr: profiling disabled
 };

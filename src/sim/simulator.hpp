@@ -113,6 +113,11 @@ class alignas(64) Simulator {
     return schedule_at(now_ + d, std::forward<F>(cb));
   }
 
+  /// Width of the handoff channel id in the injected lane's ordering word
+  /// (see the layout below): a kernel orders at most 2^kChannelBits
+  /// channels.
+  static constexpr std::uint32_t kChannelBits = 10;
+
   /// Schedules a cross-kernel handoff at absolute time `t` (>= now,
   /// asserted). `channel` identifies the handoff channel (unique per
   /// destination kernel) and `seq` the event's position in that channel's
@@ -204,7 +209,6 @@ class alignas(64) Simulator {
   static constexpr std::uint32_t kSlotBits = 24;
   static constexpr std::uint64_t kSeqBits = 39;
   static constexpr std::uint64_t kChanSeqBits = 29;
-  static constexpr std::uint32_t kChannelBits = 10;
   static_assert(1 + kChannelBits + kChanSeqBits + kSlotBits == 64);
   static constexpr std::uint64_t kInjectedBit = std::uint64_t{1} << 63;
   static constexpr std::uint64_t kSlotMask = (std::uint64_t{1} << kSlotBits) - 1;

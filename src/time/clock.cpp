@@ -61,9 +61,18 @@ void LocalClock::adjust_rate(std::int64_t ppb_delta) {
 Simulator::TimerHandle LocalClock::schedule_at_local(TimePoint local_t,
                                                      Simulator::Callback cb) {
   TimePoint perfect = to_perfect(local_t);
-  // A clock stepped forward may make a local deadline already past; fire
-  // immediately in that case (as an MCU timer compare-match would).
-  if (perfect < sim_.now()) perfect = sim_.now();
+  const TimePoint now = sim_.now();
+  if (perfect <= now) {
+    // A clock stepped forward may make a local deadline already past; fire
+    // immediately in that case (as an MCU timer compare-match would). But
+    // to_perfect is not a right inverse of to_local: with drift and
+    // truncated readings the clock can still read below `local_t` at the
+    // mapped instant. Firing then would let a caller that re-arms for the
+    // same local time (SRT promotion) spin at one instant forever, so arm
+    // at the first instant the clock reads >= local_t.
+    perfect = now;
+    while (to_local(perfect) < local_t) perfect += Duration::nanoseconds(1);
+  }
   return sim_.schedule_at(perfect, std::move(cb));
 }
 

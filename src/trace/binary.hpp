@@ -16,11 +16,11 @@
 /// \file binary.hpp
 /// RTEB — the Real-Time Event channel Binary trace format.
 ///
-/// The text recorders (CandumpRecorder, BusRecorder CSV) buffer every
-/// event as a formatted line: fine for debugging, wrong for high-rate
-/// online capture where a city-scale run emits millions of frame events
-/// and the trace must be written *while* the simulation runs. RTEB is the
-/// compact binary alternative: a versioned, little-endian, length-prefixed
+/// A text log buffers every event as a formatted line: fine for
+/// debugging, wrong for high-rate online capture where a city-scale run
+/// emits millions of frame events and the trace must be written *while*
+/// the simulation runs. RTEB is the one recording path: a versioned,
+/// little-endian, length-prefixed
 /// record stream covering everything the observability layer sees —
 /// frame deliveries (including corrupted attempts and attack collisions,
 /// which candump cannot represent), detector alarms, and gateway

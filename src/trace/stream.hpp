@@ -9,8 +9,8 @@
 /// \file stream.hpp
 /// Streaming (online) trace consumers.
 ///
-/// The existing trace tools (BusRecorder, CandumpRecorder, csv.hpp) buffer
-/// every event and analyze after the run — fine for debugging, wrong for
+/// Trace capture (RTEB, binary.hpp) records every event for analysis after
+/// the run — fine for debugging and diffing, wrong for
 /// anything that must run *inside* the system: an intrusion detector on a
 /// real CAN node sees one frame at a time and keeps bounded state. This
 /// header is the per-delivery push interface those consumers implement;

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
+
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 
+#include "trace/binary.hpp"
 #include "trace/candump.hpp"
 
 namespace rtec {
@@ -17,7 +20,7 @@ TEST(Candump, FormatsExtendedFrameLikeCandump) {
   f.id = 0x1F334455;
   f.dlc = 4;
   f.data = {0xDE, 0xAD, 0xBE, 0xEF, 0, 0, 0, 0};
-  const std::string line = CandumpRecorder::format(
+  const std::string line = format_candump_line(
       f, TimePoint::from_ns(1'436'509'053'249'713'000), "vcan0");
   EXPECT_EQ(line, "(1436509053.249713) vcan0 1F334455#DEADBEEF");
 }
@@ -28,14 +31,14 @@ TEST(Candump, FormatsBaseAndRtrFrames) {
   base.id = 0x7A;
   base.dlc = 1;
   base.data[0] = 0x42;
-  EXPECT_EQ(CandumpRecorder::format(base, TimePoint::from_ns(1'500'000), "can0"),
+  EXPECT_EQ(format_candump_line(base, TimePoint::from_ns(1'500'000), "can0"),
             "(0.001500) can0 07A#42");
 
   CanFrame rtr;
   rtr.extended = false;
   rtr.id = 0x100;
   rtr.rtr = true;
-  EXPECT_EQ(CandumpRecorder::format(rtr, TimePoint::origin(), "can0"),
+  EXPECT_EQ(format_candump_line(rtr, TimePoint::origin(), "can0"),
             "(0.000000) can0 100#R");
 }
 
@@ -89,8 +92,8 @@ TEST(Candump, SkippedCountIgnoresBlankLines) {
 }
 
 TEST(Candump, RecordReplayRoundTrip) {
-  // Record a little simulated traffic...
-  std::vector<std::string> lines;
+  // Record a little simulated traffic as RTEB, rendered as candump text...
+  std::string text;
   {
     Simulator sim;
     CanBus bus{sim, BusConfig{}};
@@ -98,7 +101,7 @@ TEST(Candump, RecordReplayRoundTrip) {
     CanController b{sim, 2};
     bus.attach(a);
     bus.attach(b);
-    CandumpRecorder rec{bus, "rtec0"};
+    trace::RtebRecorder rec{bus, 0};
     for (int i = 0; i < 5; ++i) {
       sim.schedule_at(TimePoint::origin() + 1_ms * i, [&a, i] {
         CanFrame f;
@@ -109,13 +112,13 @@ TEST(Candump, RecordReplayRoundTrip) {
       });
     }
     sim.run();
-    lines = rec.lines();
+    const auto log = trace::rteb_to_candump(rec.bytes(), "rtec0");
+    ASSERT_TRUE(log.has_value()) << log.error();
+    text = *log;
   }
-  ASSERT_EQ(lines.size(), 5u);
+  ASSERT_EQ(std::count(text.begin(), text.end(), '\n'), 5);
 
   // ...then replay the log into a fresh simulation and compare.
-  std::string text;
-  for (const auto& l : lines) text += l + "\n";
   const auto entries = parse_candump(text);
   ASSERT_EQ(entries.size(), 5u);
 
@@ -143,15 +146,21 @@ TEST(Candump, SaveWritesFile) {
   CanController b{sim, 2};
   bus.attach(a);
   bus.attach(b);
-  CandumpRecorder rec{bus};
+  trace::RtebRecorder rec{bus, 0};
   CanFrame f;
   f.id = 0x123;
   f.dlc = 1;
   f.data[0] = 0xAB;
   (void)a.submit(f, TxMode::kAutoRetransmit);
   sim.run();
+  const auto log = trace::rteb_to_candump(rec.bytes(), "rtec0");
+  ASSERT_TRUE(log.has_value()) << log.error();
   const char* path = "test_candump_tmp.log";
-  ASSERT_TRUE(rec.save(path));
+  {
+    std::ofstream out{path};
+    out << *log;
+    ASSERT_TRUE(out.good());
+  }
   const auto parsed = parse_candump([&] {
     std::ifstream in{path};
     std::stringstream ss;

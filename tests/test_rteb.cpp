@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -258,7 +259,7 @@ TEST(Rteb, StructuralDamageIsAHardError) {
 
 TEST(Rteb, CandumpRoundTripIsLossless) {
   // candump -> RTEB -> candump reproduces the text byte-for-byte
-  // (canonical formatting, which CandumpRecorder::format emits).
+  // (canonical formatting, which format_candump_line emits).
   std::string text;
   CanFrame periodic;
   periodic.id = 0x1A334455;
@@ -276,13 +277,13 @@ TEST(Rteb, CandumpRoundTripIsLossless) {
   rtr.rtr = true;
   for (int i = 0; i < 50; ++i) {
     const auto t = TimePoint::from_ns(1'000'000 + i * 2'000'000LL);
-    text += CandumpRecorder::format(periodic, t, "can0") + "\n";
+    text += format_candump_line(periodic, t, "can0") + "\n";
     if (i % 5 == 0)
-      text += CandumpRecorder::format(base, t + Duration::microseconds(250),
-                                      "can0") + "\n";
+      text += format_candump_line(base, t + Duration::microseconds(250),
+                                  "can0") + "\n";
     if (i % 7 == 0)
-      text += CandumpRecorder::format(rtr, t + Duration::microseconds(500),
-                                      "can0") + "\n";
+      text += format_candump_line(rtr, t + Duration::microseconds(500),
+                                  "can0") + "\n";
   }
 
   std::size_t skipped = 123;
@@ -311,9 +312,9 @@ TEST(Rteb, TenTimesSmallerThanCandumpOnPeriodicTraffic) {
   }
   for (int i = 0; i < 1000; ++i) {
     const auto t = TimePoint::from_ns(1'000'000'000 + i * 1'000'000LL);
-    text += CandumpRecorder::format(f1, t, "can0") + "\n";
-    text += CandumpRecorder::format(f2, t + Duration::microseconds(200),
-                                    "can0") + "\n";
+    text += format_candump_line(f1, t, "can0") + "\n";
+    text += format_candump_line(f2, t + Duration::microseconds(200), "can0") +
+            "\n";
   }
   const std::string rteb = rteb_from_candump(text, 0);
   EXPECT_GE(text.size(), 10 * rteb.size())
@@ -352,6 +353,36 @@ TEST(Rteb, FileBackedWriterStreamsThroughBoundedBuffer) {
   EXPECT_EQ(records->size(), 40'000u);
 }
 
+TEST(Rteb, RecordsEveryOccupancyIncludingErrors) {
+  // One frame whose first attempt is corrupted: the capture holds both
+  // bus occupancies in order, with their outcome and attempt number.
+  Simulator sim;
+  CanBus bus{sim, BusConfig{}};
+  CanController a{sim, 1};
+  CanController b{sim, 2};
+  bus.attach(a);
+  bus.attach(b);
+  ScriptedFaults faults;
+  faults.add_rule([](const FaultContext& ctx) { return ctx.attempt == 1; });
+  bus.set_fault_model(&faults);
+  RtebRecorder rec{bus, 0};
+  CanFrame f;
+  f.id = 0x100;
+  f.dlc = 1;
+  (void)a.submit(f, TxMode::kAutoRetransmit);
+  sim.run();
+
+  auto reader = RtebReader::open(rec.bytes());
+  ASSERT_TRUE(reader.has_value()) << reader.error();
+  const auto records = reader->read_all();
+  ASSERT_TRUE(records.has_value()) << records.error();
+  ASSERT_EQ(records->size(), 2u);  // corrupted attempt + good retry
+  EXPECT_FALSE((*records)[0].frame.success);
+  EXPECT_TRUE((*records)[1].frame.success);
+  EXPECT_EQ((*records)[0].frame.attempt, 1);
+  EXPECT_EQ((*records)[1].frame.attempt, 2);
+}
+
 TEST(Rteb, RecorderCapturesCorruptedAttemptsCandumpCannot) {
   // A bus with a fault model: candump only sees deliveries, the RTEB
   // recorder sees every occupancy including the corrupted attempt.
@@ -365,7 +396,6 @@ TEST(Rteb, RecorderCapturesCorruptedAttemptsCandumpCannot) {
   faults.add_rule([](const FaultContext& ctx) { return ctx.attempt == 1; });
   bus.set_fault_model(&faults);
   RtebRecorder rec{bus, 0};
-  CandumpRecorder text{bus, "can0"};
 
   for (int i = 0; i < 4; ++i) {
     sim.schedule_at(TimePoint::origin() + Duration::milliseconds(1 + i),
@@ -388,7 +418,12 @@ TEST(Rteb, RecorderCapturesCorruptedAttemptsCandumpCannot) {
     ASSERT_EQ(r.kind, RtebKind::kFrame);
     if (r.frame.success) ++ok; else ++errors;
   }
-  EXPECT_EQ(ok, text.lines().size());  // deliveries agree with candump
+  const auto text = rteb_to_candump(rec.bytes(), "can0");
+  ASSERT_TRUE(text.has_value()) << text.error();
+  // Deliveries agree with the candump rendering, one line each.
+  EXPECT_EQ(ok, static_cast<std::size_t>(
+                    std::count(text->begin(), text->end(), '\n')));
+  EXPECT_EQ(ok, 4u);
   EXPECT_GT(errors, 0u);               // corrupted attempts are extra
   EXPECT_EQ(records->size(), ok + errors);
 }

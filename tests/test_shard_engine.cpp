@@ -329,13 +329,28 @@ TEST(ShardEngine, IncomingLookaheadIsPerShardNotGlobal) {
   EXPECT_EQ(engine.incoming_lookahead(0), Duration::max());  // nothing feeds 0
   EXPECT_EQ(engine.incoming_lookahead(1).ns(), (10_us).ns());
   EXPECT_EQ(engine.incoming_lookahead(2).ns(), (500_us).ns());
-  EXPECT_EQ(engine.lookahead_mode(), LookaheadMode::kPerLink);
 }
 
-/// Weakly-coupled chain fixture for the epoch-count comparison: shard 0
-/// is busy (events every 5 us), shards 1..3 are light (events every
-/// 2 ms), bidirectional links everywhere, sparse real handoffs so the
-/// coupling is exercised, not just declared.
+TEST(ShardEngineDeathTest, ChannelIdSpaceExhaustionAbortsInEveryBuild) {
+  // Channel ids past Simulator::kChannelBits would spill into the lane
+  // bit and alias low ids; link() must refuse the 1025th channel even
+  // with assertions compiled out.
+  const auto register_channels = [](std::size_t n) {
+    Simulator sim;
+    ShardEngine engine;
+    engine.add_shard(sim);
+    for (std::size_t i = 0; i < n; ++i) (void)engine.link(0, 0, 1_us);
+  };
+  constexpr std::size_t kMax = std::size_t{1} << Simulator::kChannelBits;
+  register_channels(kMax);  // the full id space is usable
+  EXPECT_DEATH(register_channels(kMax + 1),
+               "handoff channel id space exhausted \\(1025 channels");
+}
+
+/// Weakly-coupled chain fixture for the per-link epoch count: shard 0 is
+/// busy (events every 5 us), shards 1..3 are light (events every 2 ms),
+/// bidirectional links everywhere, sparse real handoffs so the coupling
+/// is exercised, not just declared.
 struct WeakChain {
   static constexpr int kShards = 4;
   std::vector<std::unique_ptr<Simulator>> sims;
@@ -346,16 +361,16 @@ struct WeakChain {
   /// allowed to change — only each shard's own sequence is invariant.)
   std::vector<std::vector<std::int64_t>> trace{kShards};
 
-  explicit WeakChain(LookaheadMode mode) {
+  WeakChain() {
     for (int i = 0; i < kShards; ++i) {
       sims.push_back(std::make_unique<Simulator>());
       engine.add_shard(*sims.back());
     }
-    engine.set_lookahead_mode(mode);
     // Heterogeneous latencies, the honest per-link story: the busy shard
     // sits behind a 400 us gateway while the light tail is joined by fast
-    // 20 us links. Global-min throttles *every* shard to the globally
-    // shortest link; per-link horizons only feel the local neighbourhood.
+    // 20 us links. A global minimum would throttle *every* shard to the
+    // globally shortest link; per-link horizons only feel the local
+    // neighbourhood.
     const Duration lat[] = {400_us, 100_us, 20_us};
     for (std::size_t i = 0; i + 1 < static_cast<std::size_t>(kShards); ++i) {
       right.push_back(&engine.link(i, i + 1, lat[i]));
@@ -384,29 +399,35 @@ struct WeakChain {
 };
 
 TEST(ShardEngine, PerLinkLookaheadCutsEpochsOnWeaklyCoupledChain) {
-  // The satellite regression for the tentpole: identical traces, far
-  // fewer barriers. Under the global minimum every epoch advances the
-  // busy shard by the globally shortest link (~20 us); under per-link
-  // horizons its window is the 400 us round trip through its own
-  // gateway, an order of magnitude wider.
-  WeakChain per_link{LookaheadMode::kPerLink};
-  WeakChain global{LookaheadMode::kGlobalMin};
-  per_link.engine.run_until(at_ns(10'000'000));
-  global.engine.run_until(at_ns(10'000'000));
+  // Per-link horizons give the busy shard the 400 us round trip through
+  // its own gateway as its window, not the globally shortest 20 us link.
+  WeakChain chain;
+  chain.engine.run_until(at_ns(10'000'000));
 
-  EXPECT_EQ(per_link.trace, global.trace);  // same observable behaviour
-  EXPECT_EQ(per_link.engine.stats().handoffs,
-            global.engine.stats().handoffs);
-  const auto perlink_epochs = per_link.engine.stats().epochs;
-  const auto global_epochs = global.engine.stats().epochs;
-  // The acceptance bar is >= 30% reduction; this fixture gives far more,
-  // so assert a 2x margin to stay robust.
-  EXPECT_LT(perlink_epochs * 2, global_epochs)
-      << "per-link " << perlink_epochs << " vs global " << global_epochs;
+  // The fixture's schedule, shard by shard: the busy shard's 5 us ticks,
+  // the light shards' 2 ms ticks, and on shard 1 the ten handoffs
+  // (logged negated) released 400 us after each millisecond post.
+  std::vector<std::vector<std::int64_t>> expect(WeakChain::kShards);
+  for (int i = 0; i < 2000; ++i) expect[0].push_back(i * 5'000);
+  for (std::size_t s = 1; s < expect.size(); ++s)
+    for (int i = 0; i < 5; ++i) expect[s].push_back(i * 2'000'000);
+  for (int i = 0; i < 10; ++i) expect[1].push_back(-(i * 1'000'000 + 400'001));
+  std::stable_sort(expect[1].begin(), expect[1].end(),
+                   [](std::int64_t a, std::int64_t b) {
+                     return (a < 0 ? -a : a) < (b < 0 ? -b : b);
+                   });
+  EXPECT_EQ(chain.trace, expect);
+  EXPECT_EQ(chain.engine.stats().handoffs, 10u);
+
+  // One global horizon (min over all links, the engine before per-link
+  // lookahead) needed 500 epochs on this fixture, measured once; per-link
+  // needed 21. Assert at least the 2x margin under that figure.
+  constexpr std::uint64_t kSingleHorizonEpochs = 500;
+  const auto epochs = chain.engine.stats().epochs;
+  EXPECT_LT(epochs * 2, kSingleHorizonEpochs) << "per-link " << epochs;
   // Idle shards skip their run entirely: shard executions stay well
   // below epochs * shard_count.
-  EXPECT_LT(per_link.engine.stats().shard_runs,
-            perlink_epochs * WeakChain::kShards);
+  EXPECT_LT(chain.engine.stats().shard_runs, epochs * WeakChain::kShards);
 }
 
 }  // namespace

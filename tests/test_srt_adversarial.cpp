@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 
@@ -223,6 +224,54 @@ TEST_F(SrtAdvFixture, ContinuousUrgentTrafficStarvesRelaxedMessageUntilPromoted)
   EXPECT_EQ(c.sent, 1u);
   EXPECT_EQ(c.sent_by_deadline, 1u) << "promotion must beat the urgent flood";
   EXPECT_GE(c.promotions, 10u);  // climbed many bands while waiting
+}
+
+TEST_F(SrtAdvFixture, PromotionOnDriftingClockTerminatesAndPromotes) {
+  // A drifting, truncating local clock is not exactly invertible: at
+  // to_perfect(x) it can still read x - 1 tick. A promotion due at such an
+  // x used to fire one tick early, find the band unchanged, re-arm for the
+  // same x at the same perfect instant, and spin there forever.
+  // bench_scale's clock model (-80 ppm, 1 us ticks); the first such
+  // instant on this clock lies about 169 ms into the run.
+  Node::ClockParams drifting;
+  drifting.initial_offset = 13_us;
+  drifting.drift_ppb = -80'000;
+  drifting.granularity = 1_us;
+  Node& n3 = scn.add_node(3, drifting);
+  const LocalClock& clock = n3.clock();
+  TimePoint due = clock.now() + 2_ms;
+  for (int i = 0; i < 400'000 && clock.to_local(clock.to_perfect(due)) >= due;
+       ++i)
+    due += 1_us;
+  ASSERT_LT(clock.to_local(clock.to_perfect(due)), due)
+      << "no local instant with an inexact inverse found";
+
+  Srtec pub{n3.middleware()};
+  ASSERT_TRUE(pub.announce(subject_of("adv/drift"), {}, nullptr).has_value());
+  // The bus stays held well past `due`, so the message is still staged in
+  // its mailbox when its last promotion (to the most urgent band) is due.
+  const Duration slot =
+      n3.middleware().srt().priority_map().config().slot_length;
+  const TimePoint due_perfect = clock.to_perfect(due);
+  hold_bus_until(due_perfect + 1_ms);
+  scn.sim().schedule_at(due_perfect - 1_ms, [&] {
+    Event e;
+    e.content = {0xD7};
+    e.attributes.deadline = due + slot;  // laxity crosses one slot at `due`
+    e.attributes.expiration = due + 50_ms;
+    ASSERT_TRUE(pub.publish(std::move(e)).has_value());
+  });
+
+  scn.run_for((due_perfect - TimePoint::origin()) + 5_ms);
+  const auto& c = n3.middleware().srt().counters();
+  EXPECT_EQ(c.sent, 1u);
+  EXPECT_GE(c.promotions, 1u);
+  const auto sent =
+      std::find_if(frames.begin(), frames.end(), [](const auto& f) {
+        return f.success && decode_can_id(f.frame.id).tx_node == 3;
+      });
+  ASSERT_NE(sent, frames.end());
+  EXPECT_EQ(decode_can_id(sent->frame.id).priority, kSrtPriorityMin);
 }
 
 TEST_F(SrtAdvFixture, PerPublisherFifoForEqualDeadlines) {

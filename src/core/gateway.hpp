@@ -118,33 +118,30 @@ class Gateway {
     std::uint64_t forwarded = 0;
     std::uint64_t failures = 0;
   };
-  struct SrtBridge {
-    std::unique_ptr<Srtec> sub;
-    std::unique_ptr<Srtec> pub;
+  /// One direction of a bridged subject: the subscription on the near
+  /// segment and the publication it forwards into on the far one.
+  template <class Engine>
+  struct Bridge {
+    Bridge(Middleware& near, Middleware& far) : sub{near}, pub{far} {}
+    EventChannel<Engine> sub;
+    EventChannel<Engine> pub;
   };
-  struct NrtBridge {
-    std::unique_ptr<Nrtec> sub;
-    std::unique_ptr<Nrtec> pub;
-  };
+  template <class Engine>
+  using Bridges = std::vector<std::unique_ptr<Bridge<Engine>>>;
 
-  Expected<void, ChannelError> make_srt_half(Node& from, Node& to,
-                                             HandoffChannel& chan,
-                                             Subject subject,
-                                             Duration fwd_deadline,
-                                             Duration fwd_expiration,
-                                             bool forward_transit,
-                                             DirectionCounters& dir);
-  Expected<void, ChannelError> make_nrt_half(Node& from, Node& to,
-                                             HandoffChannel& chan,
-                                             Subject subject, bool fragmented,
-                                             Priority priority,
-                                             DirectionCounters& dir);
+  template <class Engine>
+  Expected<void, ChannelError> make_half(Node& from, Node& to,
+                                         HandoffChannel& chan, Subject subject,
+                                         const AttributeList& pub_attrs,
+                                         const AttributeList& sub_attrs,
+                                         DirectionCounters& dir,
+                                         Bridges<Engine>& bridges);
 
   Node& a_;
   Node& b_;
   GatewayLink link_;
-  std::vector<std::unique_ptr<SrtBridge>> srt_bridges_;
-  std::vector<std::unique_ptr<NrtBridge>> nrt_bridges_;
+  Bridges<SrtEngine> srt_bridges_;
+  Bridges<NrtEngine> nrt_bridges_;
   DirectionCounters dir_a_to_b_;
   DirectionCounters dir_b_to_a_;
 };

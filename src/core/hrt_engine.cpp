@@ -259,12 +259,8 @@ Expected<HrtEngine::Subscription*, ChannelError> HrtEngine::subscribe(
     if (ctx_.calendar->slot(i).etag == etag) slots.push_back(i);
   if (slots.empty()) return Unexpected{ChannelError::kNoReservation};
 
-  const std::size_t capacity =
-      attrs.get<attr::QueueCapacity>().value_or(attr::QueueCapacity{}).events;
-  auto sub = std::make_unique<Subscription>(subject, etag, capacity);
-  sub->local_only = attrs.has<attr::LocalOnly>();
-  sub->notify = std::move(notify);
-  sub->on_exception = std::move(on_exception);
+  auto sub = std::make_unique<Subscription>(
+      subject, etag, attrs, std::move(notify), std::move(on_exception));
   sub->watches.resize(slots.size());
 
   const TimePoint now_local = ctx_.clock.now();
@@ -337,11 +333,9 @@ void HrtEngine::on_frame(const CanIdFields& fields, const CanFrame& frame,
       if (!watch.window_open) continue;
       if (ctx_.calendar->slot(watch.slot_index).publisher != fields.tx_node)
         continue;
-      Event event;
-      event.subject = sub->subject;
-      event.content.assign(frame.data.begin(), frame.data.begin() + frame.dlc);
-      event.attributes.timestamp = ctx_.clock.now();
-      watch.arrival = std::move(event);
+      watch.arrival = received_event(ctx_, *sub, /*remote_origin=*/false);
+      watch.arrival->content.assign(frame.data.begin(),
+                                    frame.data.begin() + frame.dlc);
       consumed = true;
       break;
     }

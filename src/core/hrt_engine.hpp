@@ -66,7 +66,6 @@ class HrtEngine {
       Simulator::TimerHandle timer;
     };
     std::vector<SlotWatch> watches;
-    bool cancelled = false;
   };
 
   explicit HrtEngine(const NodeContext& ctx);

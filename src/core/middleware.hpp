@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <set>
+#include <type_traits>
 
 #include "core/binding.hpp"
 #include "core/hrt_engine.hpp"
@@ -30,9 +31,6 @@ class Middleware {
     /// Deadline→priority mapping used by this node's SRT engine. Must be
     /// identical on all nodes for global EDF to be meaningful.
     DeadlinePriorityMap::Config srt_map{};
-    /// Identifier of the network segment this node lives on (multi-network
-    /// deployments; used for origin tagging).
-    std::uint8_t network_id = 0;
   };
 
   Middleware(const NodeContext& ctx, BindingRegistry& binding, Config cfg);
@@ -49,11 +47,6 @@ class Middleware {
   /// LocalOnly subscriber filter. Distributed at configuration time.
   void add_gateway_node(NodeId gateway) { gateways_.insert(gateway); }
 
-  /// Binds (or re-uses) the etag for `subject`.
-  Expected<Etag, ChannelError> bind(Subject subject) {
-    return binding_.bind(subject);
-  }
-
   /// Programs the controller's hardware acceptance filtering for a newly
   /// subscribed etag — the point of dynamic binding (§2.1): "the local
   /// communication controller filters all messages that don't match the
@@ -69,7 +62,15 @@ class Middleware {
   /// lets tests and benches quantify the CPU offload.
   [[nodiscard]] std::uint64_t rx_frames_seen() const { return rx_frames_seen_; }
 
-  // Engine access for the channel classes and for instrumentation.
+  /// The engine behind EventChannel<Engine> (core/channel.hpp).
+  template <class Engine>
+  [[nodiscard]] Engine& engine() {
+    if constexpr (std::is_same_v<Engine, HrtEngine>) return hrt_;
+    else if constexpr (std::is_same_v<Engine, SrtEngine>) return srt_;
+    else return nrt_;
+  }
+
+  // Engine access for instrumentation.
   [[nodiscard]] HrtEngine& hrt() { return hrt_; }
   [[nodiscard]] SrtEngine& srt() { return srt_; }
   [[nodiscard]] NrtEngine& nrt() { return nrt_; }
@@ -82,7 +83,6 @@ class Middleware {
 
   NodeContext ctx_;
   BindingRegistry& binding_;
-  Config cfg_;
   HrtEngine hrt_;
   SrtEngine srt_;
   NrtEngine nrt_;

@@ -12,13 +12,14 @@ CanController::Config node_controller_config(const BusConfig& bus) {
 }  // namespace
 
 Node::Node(Simulator& sim, CanBus& bus, BindingRegistry& binding,
-           const Calendar* calendar, NodeId id, ClockParams clock_params,
-           Middleware::Config mw_cfg)
+           const Calendar* calendar, NodeId id, std::uint8_t network,
+           ClockParams clock_params, Middleware::Config mw_cfg)
     : controller_{sim, id, node_controller_config(bus.config())},
       clock_{sim, clock_params.initial_offset, clock_params.drift_ppb,
              clock_params.granularity},
-      middleware_{NodeContext{sim, controller_, clock_, calendar, id}, binding,
-                  mw_cfg} {
+      middleware_{
+          NodeContext{sim, controller_, clock_, calendar, id, network},
+          binding, mw_cfg} {
   bus.attach(controller_);
 }
 

@@ -21,8 +21,8 @@ class Node {
   };
 
   Node(Simulator& sim, CanBus& bus, BindingRegistry& binding,
-       const Calendar* calendar, NodeId id, ClockParams clock_params,
-       Middleware::Config mw_cfg);
+       const Calendar* calendar, NodeId id, std::uint8_t network,
+       ClockParams clock_params, Middleware::Config mw_cfg);
 
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;

@@ -8,7 +8,8 @@
 /// \file node_context.hpp
 /// Per-node infrastructure handed to the middleware engines: the simulation
 /// kernel, this node's communication controller, its synchronized local
-/// clock, and the (offline-distributed) reservation calendar.
+/// clock, the (offline-distributed) reservation calendar and the node's
+/// address (segment, id).
 
 namespace rtec {
 
@@ -20,6 +21,9 @@ struct NodeContext {
   /// configuration phase). May be null on nodes that use no HRT channels.
   const Calendar* calendar = nullptr;
   NodeId node = 0;
+  /// Network segment the node lives on; delivered events of local origin
+  /// carry it as EventAttributes::origin_network.
+  std::uint8_t network = 0;
 };
 
 }  // namespace rtec

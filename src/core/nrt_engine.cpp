@@ -189,14 +189,10 @@ void NrtEngine::on_tx_result(Etag etag, bool end_of_message, bool success) {
 Expected<NrtEngine::Subscription*, ChannelError> NrtEngine::subscribe(
     Subject subject, Etag etag, const AttributeList& attrs,
     NotificationHandler notify, ExceptionHandler on_exception) {
-  const std::size_t capacity =
-      attrs.get<attr::QueueCapacity>().value_or(attr::QueueCapacity{}).events;
-  auto sub = std::make_unique<Subscription>(subject, etag, capacity);
-  sub->local_only = attrs.has<attr::LocalOnly>();
+  auto sub = std::make_unique<Subscription>(
+      subject, etag, attrs, std::move(notify), std::move(on_exception));
   sub->fragmented =
       attrs.get<attr::Fragmentation>().value_or(attr::Fragmentation{false}).enabled;
-  sub->notify = std::move(notify);
-  sub->on_exception = std::move(on_exception);
   subscriptions_.push_back(std::move(sub));
   return subscriptions_.back().get();
 }
@@ -212,11 +208,8 @@ void NrtEngine::on_frame(const CanIdFields& fields, const CanFrame& frame,
     if (sub->local_only && remote_origin) continue;
 
     if (!sub->fragmented) {
-      Event event;
-      event.subject = sub->subject;
+      Event event = received_event(ctx_, *sub, remote_origin);
       event.content.assign(frame.data.begin(), frame.data.begin() + frame.dlc);
-      event.attributes.timestamp = ctx_.clock.now();
-      event.attributes.origin_network = remote_origin ? 0xff : 0;
       ++counters_.delivered;
       sub->deliver(std::move(event), ctx_.clock.now());
       continue;
@@ -241,11 +234,8 @@ void NrtEngine::on_frame(const CanIdFields& fields, const CanFrame& frame,
     };
 
     auto complete = [&] {
-      Event event;
-      event.subject = sub->subject;
+      Event event = received_event(ctx_, *sub, remote_origin);
       event.content = std::move(re.buffer);
-      event.attributes.timestamp = ctx_.clock.now();
-      event.attributes.origin_network = remote_origin ? 0xff : 0;
       re.buffer.clear();
       re.active = false;
       ++counters_.delivered;

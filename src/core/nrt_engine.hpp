@@ -48,7 +48,6 @@ class NrtEngine {
   struct Subscription : SubscriptionBase {
     using SubscriptionBase::SubscriptionBase;
     bool fragmented = false;
-    bool cancelled = false;
 
     struct Reassembly {
       std::uint8_t msg_id = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
+#include <exception>
 #include <string>
 
 #include "core/gateway.hpp"
@@ -24,6 +25,19 @@ void hook_channel(HandoffChannel& ch, trace::RtebWriter& w) {
                             std::uint32_t channel, std::uint64_t seq) {
     w.add_handoff(send, release, channel, seq);
   });
+}
+
+/// A node accessor misused would dangle or read past a map's end, so the
+/// misuse is refused in every build, not only under assert.
+[[noreturn]] void refuse(const char* call, const char* why, NodeId id,
+                         int network = -1) {
+  if (network < 0)
+    std::fprintf(stderr, "rtec: Scenario::%s: node %u: %s\n", call,
+                 unsigned{id}, why);
+  else
+    std::fprintf(stderr, "rtec: Scenario::%s: node %u on network %d: %s\n",
+                 call, unsigned{id}, network, why);
+  std::terminate();
 }
 }  // namespace
 
@@ -233,43 +247,43 @@ Expected<void, std::string> Scenario::load_calendar_image(
 Node& Scenario::add_node(NodeId id, Node::ClockParams clock_params,
                          int network) {
   assert(network >= 0 && network < cfg_.networks);
-  assert(!nodes_.contains({network, id}) && "node id taken on this segment");
   Network& net = *networks_.at(static_cast<std::size_t>(network));
+  // Claim the address first: a Node attaches its controller to the bus,
+  // so a duplicate must never be built.
+  const auto [it, inserted] = nodes_.try_emplace({network, id});
+  if (!inserted) refuse("add_node", "id taken on this segment", id, network);
   Middleware::Config mw_cfg;
   mw_cfg.srt_map = cfg_.srt_map;
-  mw_cfg.network_id = static_cast<std::uint8_t>(network);
-  auto node = std::make_unique<Node>(segment_sim(network), net.bus, binding_,
-                                     &net.calendar, id, clock_params, mw_cfg);
-  for (NodeId gw : net.gateways) node->middleware().add_gateway_node(gw);
-  Node& ref = *node;
-  nodes_.emplace(std::pair{network, id}, std::move(node));
+  it->second = std::make_unique<Node>(
+      segment_sim(network), net.bus, binding_, &net.calendar, id,
+      static_cast<std::uint8_t>(network), clock_params, mw_cfg);
+  for (NodeId gw : net.gateways) it->second->middleware().add_gateway_node(gw);
   id_networks_[id].push_back(network);
-  return ref;
+  return *it->second;
 }
 
 Node& Scenario::node(NodeId id) { return node(id, network_of(id)); }
 
 Node& Scenario::node(NodeId id, int network) {
   const auto it = nodes_.find({network, id});
-  assert(it != nodes_.end());
+  if (it == nodes_.end()) refuse("node", "no such node", id, network);
   return *it->second;
 }
 
 int Scenario::network_of(NodeId id) const {
   const auto it = id_networks_.find(id);
-  assert(it != id_networks_.end());
-  assert(it->second.size() == 1 &&
-         "node id is reused across segments — address it by (id, network)");
+  if (it == id_networks_.end()) refuse("network_of", "no such node", id);
+  if (it->second.size() != 1)
+    refuse("network_of",
+           "id is reused across segments; address it by (id, network)", id);
   return it->second.front();
 }
 
 int Scenario::network_of(const Node& n) const {
-  const auto it = id_networks_.find(n.id());
-  assert(it != id_networks_.end());
-  for (const int net : it->second)
-    if (nodes_.at({net, n.id()}).get() == &n) return net;
-  assert(false && "node does not belong to this scenario");
-  return -1;
+  if (const auto it = id_networks_.find(n.id()); it != id_networks_.end())
+    for (const int net : it->second)
+      if (nodes_.at({net, n.id()}).get() == &n) return net;
+  refuse("network_of", "node does not belong to this scenario", n.id());
 }
 
 Expected<void, AdmissionError> Scenario::enable_clock_sync(NodeId master,

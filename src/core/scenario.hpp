@@ -158,15 +158,18 @@ class Scenario {
   /// (CAN arbitration only sees one segment), so city-scale topologies
   /// reuse the same small id space on every segment. The id-only lookup
   /// overloads below remain valid for any id used on a single segment.
+  /// An id already taken on `network` is refused: the accessors below, like
+  /// this one, print a named message and call std::terminate on misuse in
+  /// every build.
   Node& add_node(NodeId id, Node::ClockParams clock_params = {},
                  int network = 0);
-  /// Looks up a node by system-wide-unique id (asserts the id is used on
+  /// Looks up a node by system-wide-unique id (the id must be used on
   /// exactly one segment — the common single/few-segment case).
   [[nodiscard]] Node& node(NodeId id);
   /// Looks up a node by its (segment, id) address.
   [[nodiscard]] Node& node(NodeId id, int network);
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
-  /// Network segment a node lives on (id-unique overload, asserted).
+  /// Network segment a node lives on (id-unique overload).
   [[nodiscard]] int network_of(NodeId id) const;
   /// Network segment a node instance lives on.
   [[nodiscard]] int network_of(const Node& n) const;

@@ -7,9 +7,8 @@
 
 namespace rtec {
 
-SrtEngine::SrtEngine(const NodeContext& ctx, DeadlinePriorityMap::Config map_cfg,
-                     std::uint8_t network_id)
-    : ctx_{ctx}, map_{map_cfg}, network_id_{network_id} {
+SrtEngine::SrtEngine(const NodeContext& ctx, DeadlinePriorityMap::Config map_cfg)
+    : ctx_{ctx}, map_{map_cfg} {
   // The middleware rigorously enforces P_HRT < P_SRT < P_NRT (§3.3).
   assert(map_cfg.p_min >= kSrtPriorityMin && map_cfg.p_max <= kSrtPriorityMax);
 }
@@ -251,13 +250,8 @@ void SrtEngine::raise(Etag etag, ChannelError e) {
 Expected<SrtEngine::Subscription*, ChannelError> SrtEngine::subscribe(
     Subject subject, Etag etag, const AttributeList& attrs,
     NotificationHandler notify, ExceptionHandler on_exception) {
-  const std::size_t capacity =
-      attrs.get<attr::QueueCapacity>().value_or(attr::QueueCapacity{}).events;
-  auto sub = std::make_unique<Subscription>(subject, etag, capacity);
-  sub->local_only = attrs.has<attr::LocalOnly>();
-  sub->notify = std::move(notify);
-  sub->on_exception = std::move(on_exception);
-  subscriptions_.push_back(std::move(sub));
+  subscriptions_.push_back(std::make_unique<Subscription>(
+      subject, etag, attrs, std::move(notify), std::move(on_exception)));
   return subscriptions_.back().get();
 }
 
@@ -270,14 +264,8 @@ void SrtEngine::on_frame(const CanIdFields& fields, const CanFrame& frame,
   for (const auto& sub : subscriptions_) {
     if (sub->cancelled || sub->etag != fields.etag) continue;
     if (sub->local_only && remote_origin) continue;
-    Event event;
-    event.subject = sub->subject;
+    Event event = received_event(ctx_, *sub, remote_origin);
     event.content.assign(frame.data.begin(), frame.data.begin() + frame.dlc);
-    event.attributes.timestamp = ctx_.clock.now();
-    // Remote events are tagged with the sentinel 0xff: the frame itself
-    // carries no origin field; "remote" is inferred from the forwarding
-    // gateway's TxNode (configured system-wide).
-    event.attributes.origin_network = remote_origin ? 0xff : network_id_;
     ++counters_.delivered;
     sub->deliver(std::move(event), ctx_.clock.now());
   }

@@ -49,13 +49,9 @@ class SrtEngine {
     std::uint64_t delivered = 0;        ///< events handed to subscribers
   };
 
-  struct Subscription : SubscriptionBase {
-    using SubscriptionBase::SubscriptionBase;
-    bool cancelled = false;
-  };
+  using Subscription = SubscriptionBase;
 
-  SrtEngine(const NodeContext& ctx, DeadlinePriorityMap::Config map_cfg,
-            std::uint8_t network_id);
+  SrtEngine(const NodeContext& ctx, DeadlinePriorityMap::Config map_cfg);
 
   Expected<void, ChannelError> announce(Subject subject, Etag etag,
                                         const AttributeList& attrs,
@@ -118,7 +114,6 @@ class SrtEngine {
 
   NodeContext ctx_;
   DeadlinePriorityMap map_;
-  std::uint8_t network_id_;
   std::map<Etag, Publication> publications_;
   EdfQueue<Message> queue_;
   std::map<std::uint64_t, EdfQueue<Message>::Handle> queued_handles_;

@@ -4,8 +4,10 @@
 #include <optional>
 #include <vector>
 
+#include "core/attributes.hpp"
 #include "core/errors.hpp"
 #include "core/event.hpp"
+#include "core/node_context.hpp"
 
 /// \file subscription.hpp
 /// Subscriber-side event buffering: the "predefined memory area" of §2.2.1
@@ -47,17 +49,30 @@ class EventQueue {
   std::size_t size_ = 0;
 };
 
-/// State common to subscriptions of every channel class.
+/// State common to subscriptions of every channel class, built from the
+/// subscribe() arguments; attr::QueueCapacity and attr::LocalOnly are read
+/// here for all classes.
 struct SubscriptionBase {
   Subject subject;
-  std::uint16_t etag = 0;
+  Etag etag = 0;
   bool local_only = false;
+  /// Set by the engine's cancel_subscription. The engine keeps the object,
+  /// so timers and frames that still reach it see the flag and stop.
+  bool cancelled = false;
   EventQueue queue;
   NotificationHandler notify;
   ExceptionHandler on_exception;
 
-  SubscriptionBase(Subject s, std::uint16_t tag, std::size_t queue_capacity)
-      : subject{s}, etag{tag}, queue{queue_capacity} {}
+  SubscriptionBase(Subject s, Etag tag, const AttributeList& attrs,
+                   NotificationHandler n, ExceptionHandler x)
+      : subject{s},
+        etag{tag},
+        local_only{attrs.has<attr::LocalOnly>()},
+        queue{attrs.get<attr::QueueCapacity>()
+                  .value_or(attr::QueueCapacity{})
+                  .events},
+        notify{std::move(n)},
+        on_exception{std::move(x)} {}
 
   /// Stores + notifies; raises kQueueOverflow when the application is not
   /// draining fast enough.
@@ -70,5 +85,22 @@ struct SubscriptionBase {
     if (notify) notify();
   }
 };
+
+/// origin_network of an event a gateway forwarded from another segment.
+/// The frame itself carries no origin field: "remote" is inferred from the
+/// forwarding gateway's TxNode (configured system-wide).
+inline constexpr std::uint8_t kRemoteOrigin = 0xff;
+
+/// The frame→Event header every class delivers with: the subscription's
+/// subject, the local reception time, and the segment of origin (this
+/// node's segment, or kRemoteOrigin).
+inline Event received_event(const NodeContext& ctx,
+                            const SubscriptionBase& sub, bool remote_origin) {
+  Event event;
+  event.subject = sub.subject;
+  event.attributes.timestamp = ctx.clock.now();
+  event.attributes.origin_network = remote_origin ? kRemoteOrigin : ctx.network;
+  return event;
+}
 
 }  // namespace rtec

@@ -2,6 +2,8 @@
 
 #include "core/gateway.hpp"
 #include "core/hrtec.hpp"
+#include "core/nrtec.hpp"
+#include "core/srtec.hpp"
 #include "core/scenario.hpp"
 
 namespace rtec {
@@ -120,6 +122,105 @@ TEST_F(GatewayFixture, NoEchoLoop) {
   // Exactly one forward, nothing bounced back and forth.
   EXPECT_EQ(gateway->counters().forwarded_a_to_b, 1u);
   EXPECT_EQ(gateway->counters().forwarded_b_to_a, 0u);
+}
+
+TEST_F(GatewayFixture, EveryClassStampsTheLocalSegmentAsOrigin) {
+  // Publisher and local subscribers on network 1; remote subscribers on
+  // network 0 receive the gateway's forwarded SRT/NRT copies.
+  Node& b2 = scn.add_node(12, perfect(), /*network=*/1);
+  ASSERT_TRUE(gateway->bridge_srt(subject_of("o/srt"), 5_ms, 10_ms).has_value());
+  ASSERT_TRUE(gateway->bridge_nrt(subject_of("o/nrt"), /*fragmented=*/false,
+                                  kNrtPriorityMax)
+                  .has_value());
+  ASSERT_TRUE(gateway->bridge_nrt(subject_of("o/blob"), /*fragmented=*/true,
+                                  kNrtPriorityMax)
+                  .has_value());
+  SlotSpec slot;
+  slot.lst_offset = 1_ms;
+  slot.etag = *scn.binding().bind(subject_of("o/hrt"));
+  slot.publisher = b2.id();
+  slot.periodic = false;
+  ASSERT_TRUE(scn.calendar(1).reserve(slot).has_value());
+
+  // Origin tag of every event a channel receives, in arrival order.
+  const auto record = [](auto& ch, std::vector<int>& origins) {
+    return [&ch, &origins] {
+      while (const auto e = ch.getEvent())
+        origins.push_back(e->attributes.origin_network);
+    };
+  };
+  const AttributeList frag{attr::Fragmentation{true}};
+
+  Hrtec hrt_pub{b2.middleware()};
+  Hrtec hrt_local{b1->middleware()};
+  std::vector<int> hrt_local_rx;
+  ASSERT_TRUE(hrt_pub.announce(subject_of("o/hrt"), {}, nullptr).has_value());
+  ASSERT_TRUE(hrt_local
+                  .subscribe(subject_of("o/hrt"), {},
+                             record(hrt_local, hrt_local_rx), nullptr)
+                  .has_value());
+
+  Srtec srt_pub{b2.middleware()};
+  Srtec srt_local{b1->middleware()};
+  Srtec srt_remote{a2->middleware()};
+  std::vector<int> srt_local_rx;
+  std::vector<int> srt_remote_rx;
+  ASSERT_TRUE(srt_pub.announce(subject_of("o/srt"), {}, nullptr).has_value());
+  ASSERT_TRUE(srt_local
+                  .subscribe(subject_of("o/srt"), {},
+                             record(srt_local, srt_local_rx), nullptr)
+                  .has_value());
+  ASSERT_TRUE(srt_remote
+                  .subscribe(subject_of("o/srt"), {},
+                             record(srt_remote, srt_remote_rx), nullptr)
+                  .has_value());
+
+  Nrtec nrt_pub{b2.middleware()};
+  Nrtec nrt_local{b1->middleware()};
+  Nrtec nrt_remote{a2->middleware()};
+  std::vector<int> nrt_local_rx;
+  std::vector<int> nrt_remote_rx;
+  ASSERT_TRUE(nrt_pub.announce(subject_of("o/nrt"), {}, nullptr).has_value());
+  ASSERT_TRUE(nrt_local
+                  .subscribe(subject_of("o/nrt"), {},
+                             record(nrt_local, nrt_local_rx), nullptr)
+                  .has_value());
+  ASSERT_TRUE(nrt_remote
+                  .subscribe(subject_of("o/nrt"), {},
+                             record(nrt_remote, nrt_remote_rx), nullptr)
+                  .has_value());
+
+  Nrtec blob_pub{b2.middleware()};
+  Nrtec blob_local{b1->middleware()};
+  Nrtec blob_remote{a2->middleware()};
+  std::vector<int> blob_local_rx;
+  std::vector<int> blob_remote_rx;
+  ASSERT_TRUE(blob_pub.announce(subject_of("o/blob"), frag, nullptr).has_value());
+  ASSERT_TRUE(blob_local
+                  .subscribe(subject_of("o/blob"), frag,
+                             record(blob_local, blob_local_rx), nullptr)
+                  .has_value());
+  ASSERT_TRUE(blob_remote
+                  .subscribe(subject_of("o/blob"), frag,
+                             record(blob_remote, blob_remote_rx), nullptr)
+                  .has_value());
+
+  ASSERT_TRUE(hrt_pub.publish(Event{{}, {1}}).has_value());
+  ASSERT_TRUE(srt_pub.publish(Event{{}, {2}}).has_value());
+  ASSERT_TRUE(nrt_pub.publish(Event{{}, {3}}).has_value());
+  ASSERT_TRUE(blob_pub.publish(Event{{}, std::vector<std::uint8_t>(40, 4)})
+                  .has_value());
+  scn.run_for(20_ms);
+
+  const std::vector<int> local{1};
+  const std::vector<int> remote{kRemoteOrigin};
+  EXPECT_EQ(hrt_local_rx, local);
+  EXPECT_EQ(srt_local_rx, local);
+  EXPECT_EQ(nrt_local_rx, local);
+  EXPECT_EQ(blob_local_rx, local);
+  EXPECT_EQ(srt_remote_rx, remote);
+  EXPECT_EQ(nrt_remote_rx, remote);
+  EXPECT_EQ(blob_remote_rx, remote);
 }
 
 TEST_F(GatewayFixture, LocalOnlySubscriberIgnoresForwardedEvents) {

@@ -569,5 +569,63 @@ TEST(MultisegClockSync, PerSegmentMastersKeepPrecisionUnderAsyncAdvance) {
   EXPECT_EQ(run(3, 3), ref);
 }
 
+// The node accessors refuse misuse in every build: without the checks a
+// duplicate add_node would leave a destroyed node's controller on the bus
+// and return a dangling reference, and the lookups would read end().
+Scenario two_segments() {
+  Scenario::Config cfg;
+  cfg.networks = 2;
+  return Scenario{cfg};
+}
+
+TEST(ScenarioDeathTest, AddNodeRefusesATakenIdInEveryBuild) {
+  EXPECT_DEATH(
+      {
+        Scenario scn = two_segments();
+        scn.add_node(3, {}, 1);
+        scn.add_node(3, {}, 1);
+      },
+      "Scenario::add_node: node 3 on network 1: id taken on this segment");
+}
+
+TEST(ScenarioDeathTest, NodeLookupRefusesAnUnknownAddress) {
+  EXPECT_DEATH(
+      {
+        Scenario scn = two_segments();
+        scn.add_node(3, {}, 0);
+        (void)scn.node(3, 1);
+      },
+      "Scenario::node: node 3 on network 1: no such node");
+  EXPECT_DEATH(
+      {
+        Scenario scn;
+        (void)scn.node(9);
+      },
+      "Scenario::network_of: node 9: no such node");
+}
+
+TEST(ScenarioDeathTest, IdOnlyLookupRefusesAReusedId) {
+  EXPECT_DEATH(
+      {
+        Scenario scn = two_segments();
+        scn.add_node(3, {}, 0);
+        scn.add_node(3, {}, 1);
+        (void)scn.network_of(NodeId{3});
+      },
+      "Scenario::network_of: node 3: id is reused across segments");
+}
+
+TEST(ScenarioDeathTest, NetworkOfRefusesAForeignNode) {
+  EXPECT_DEATH(
+      {
+        Scenario a;
+        Scenario b;
+        const Node& foreign = a.add_node(3);
+        b.add_node(3);
+        (void)b.network_of(foreign);
+      },
+      "Scenario::network_of: node 3: node does not belong to this scenario");
+}
+
 }  // namespace
 }  // namespace rtec

@@ -1,9 +1,9 @@
 // Microbenchmarks (google-benchmark) of the simulation substrate itself:
 // event-queue throughput (schedule / cancel / fire isolated and combined),
-// frame-length computation (cached vs uncached), frame-accurate bus
-// throughput, and middleware publish-path cost. These bound how much
-// simulated traffic the experiment harnesses can afford and guard against
-// performance regressions in the kernel.
+// frame-length computation, frame-accurate bus throughput, and middleware
+// publish-path cost. These bound how much simulated traffic the experiment
+// harnesses can afford and guard against performance regressions in the
+// kernel.
 //
 // Results are mirrored to BENCH_simcore.json (items/s per benchmark) so the
 // perf trajectory is trackable PR-over-PR.
@@ -133,8 +133,8 @@ BENCHMARK(BM_SimulatorTimerCancel)->Arg(4096);
 
 // ------------------------------------------------------------ frame length
 
-// Uncached: full serialization + CRC15 + stuff counting per query (payload
-// mutated every iteration so no caching is possible).
+// Full wire length per query: byte-wise CRC-15 and stuff counting (payload
+// mutated every iteration so no result can be reused).
 void BM_FrameWireBitsUncached(benchmark::State& state) {
   CanFrame f;
   f.id = 0x15a5a5a5 & kMaxExtendedId;
@@ -148,22 +148,6 @@ void BM_FrameWireBitsUncached(benchmark::State& state) {
 }
 BENCHMARK(BM_FrameWireBitsUncached);
 
-// Cached: the mailbox length cache hit path — what every retransmission
-// attempt pays after the first serialization.
-void BM_FrameWireBitsCached(benchmark::State& state) {
-  Simulator sim;
-  CanController ctl{sim, 1};
-  CanFrame f;
-  f.id = 0x15a5a5a5 & kMaxExtendedId;
-  f.dlc = 8;
-  f.data = {0x12, 0x34, 0x56, 0x78, 0x9a, 0xbc, 0xde, 0xf0};
-  const auto mb = *ctl.submit(f, TxMode::kAutoRetransmit);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ctl.mailbox_wire_bits(mb));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_FrameWireBitsCached);
 
 // ------------------------------------------------------------ full stack
 

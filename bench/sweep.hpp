@@ -82,6 +82,17 @@ auto sweep(std::size_t n, Fn&& fn, unsigned threads = 0)
   return out;
 }
 
+/// Where a bench writes its machine-readable output file `name`:
+/// $RTEC_BENCH_DIR when set, else the current directory. Every BENCH_ and
+/// METRICS_ file goes through here, so a run pointed at a scratch directory
+/// never overwrites the committed copies.
+inline std::string output_path(std::string_view name) {
+  std::string dir;
+  if (const char* env = std::getenv("RTEC_BENCH_DIR")) dir = env;
+  if (!dir.empty() && dir.back() != '/') dir += '/';
+  return dir.append(name);
+}
+
 /// Machine-readable benchmark emitter. Usage:
 ///
 ///   BenchJson bj{"scale"};
@@ -140,13 +151,10 @@ class BenchJson {
     return os.str();
   }
 
-  /// Writes BENCH_<name>.json into the current directory (or
-  /// $RTEC_BENCH_DIR when set). Returns false on I/O failure.
+  /// Writes BENCH_<name>.json to output_path(). Returns false on I/O
+  /// failure.
   bool write() const {
-    std::string dir;
-    if (const char* env = std::getenv("RTEC_BENCH_DIR")) dir = env;
-    if (!dir.empty() && dir.back() != '/') dir += '/';
-    std::ofstream out{dir + "BENCH_" + name_ + ".json"};
+    std::ofstream out{output_path("BENCH_" + name_ + ".json")};
     if (!out) return false;
     out << to_json();
     return out.good();

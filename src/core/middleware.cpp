@@ -30,6 +30,10 @@ void Middleware::add_subscription_filter(Etag etag) {
 void Middleware::dispatch(const CanFrame& frame, TimePoint bus_time) {
   if (!frame.extended) return;  // base-format frames are not ours
   ++rx_frames_seen_;
+  // No filter means no subscription: EventChannel::subscribe is the only
+  // path to an engine subscription and always installs one, so none of the
+  // engines has anything to deliver.
+  if (filtered_etags_.empty()) return;
   const CanIdFields fields = decode_can_id(frame.id);
   const bool remote = gateways_.contains(fields.tx_node);
   switch (classify_priority(fields.priority)) {

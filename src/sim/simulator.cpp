@@ -1,9 +1,16 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <cstdio>
+#include <exception>
 #include <utility>
 
 namespace rtec {
+
+void Simulator::refuse(const char* call, const char* why) {
+  std::fprintf(stderr, "rtec: Simulator::%s: %s\n", call, why);
+  std::terminate();
+}
 
 std::uint32_t Simulator::acquire_slot() {
   if (!free_slots_.empty()) {

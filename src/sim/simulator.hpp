@@ -86,18 +86,21 @@ class alignas(64) Simulator {
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
-  /// Schedules `cb` to run at absolute time `t` (>= now, asserted).
+  /// Schedules `cb` to run at absolute time `t`. A `t` before now, or a
+  /// simulation past 2^39 local events, would break the (time, seq) order,
+  /// so both terminate with a named message in every build.
   template <typename F>
   TimerHandle schedule_at(TimePoint t, F&& cb) {
     static_assert(std::is_invocable_v<std::decay_t<F>&>,
                   "callback must be invocable with no arguments");
-    assert(t >= now_ && "cannot schedule into the past");
+    if (t < now_) [[unlikely]]
+      refuse("schedule_at", "cannot schedule into the past");
+    if (next_seq_ >= (std::uint64_t{1} << kSeqBits)) [[unlikely]]
+      refuse("schedule_at", "sequence space exhausted");
     if constexpr (std::is_constructible_v<bool, const std::decay_t<F>&>)
       assert(static_cast<bool>(cb) && "null callback");
     const std::uint32_t idx = acquire_slot();
     slot(idx).emplace(std::forward<F>(cb), slab_);
-    assert(next_seq_ < (std::uint64_t{1} << kSeqBits) &&
-           "sequence space exhausted");
     const std::uint64_t seqslot = next_seq_++ << kSlotBits | idx;
     slot_seq_[idx] = seqslot;
     heap_push(Entry{t, seqslot});
@@ -106,10 +109,9 @@ class alignas(64) Simulator {
     return TimerHandle{seqslot};
   }
 
-  /// Schedules `cb` to run `d` from now (d >= 0, asserted).
+  /// Schedules `cb` to run `d` from now (d >= 0, checked by schedule_at).
   template <typename F>
   TimerHandle schedule_after(Duration d, F&& cb) {
-    assert(d >= Duration::zero());
     return schedule_at(now_ + d, std::forward<F>(cb));
   }
 
@@ -118,23 +120,26 @@ class alignas(64) Simulator {
   /// channels.
   static constexpr std::uint32_t kChannelBits = 10;
 
-  /// Schedules a cross-kernel handoff at absolute time `t` (>= now,
-  /// asserted). `channel` identifies the handoff channel (unique per
-  /// destination kernel) and `seq` the event's position in that channel's
-  /// FIFO; together they form the event's identity in the injected
-  /// tie-break band: at equal timestamps injected events run after all
-  /// locally scheduled ones, ordered by (channel, seq). Handoffs are not
-  /// cancellable — the source segment has already committed them.
+  /// Schedules a cross-kernel handoff at absolute time `t`. `channel`
+  /// identifies the handoff channel (unique per destination kernel) and
+  /// `seq` the event's position in that channel's FIFO; together they form
+  /// the event's identity in the injected tie-break band: at equal
+  /// timestamps injected events run after all locally scheduled ones,
+  /// ordered by (channel, seq). Handoffs are not cancellable — the source
+  /// segment has already committed them. A `t` before now, or a channel or
+  /// seq wider than its field (it would alias another event's identity),
+  /// terminates with a named message in every build.
   template <typename F>
   void schedule_injected(TimePoint t, std::uint32_t channel, std::uint64_t seq,
                          F&& cb) {
     static_assert(std::is_invocable_v<std::decay_t<F>&>,
                   "callback must be invocable with no arguments");
-    assert(t >= now_ && "cannot inject into the past");
-    assert(channel < (std::uint32_t{1} << kChannelBits) &&
-           "handoff channel id space exhausted");
-    assert(seq < (std::uint64_t{1} << kChanSeqBits) &&
-           "handoff channel sequence space exhausted");
+    if (t < now_) [[unlikely]]
+      refuse("schedule_injected", "cannot inject into the past");
+    if (channel >= (std::uint32_t{1} << kChannelBits)) [[unlikely]]
+      refuse("schedule_injected", "handoff channel id space exhausted");
+    if (seq >= (std::uint64_t{1} << kChanSeqBits)) [[unlikely]]
+      refuse("schedule_injected", "handoff channel sequence space exhausted");
     const std::uint32_t idx = acquire_slot();
     slot(idx).emplace(std::forward<F>(cb), slab_);
     const std::uint64_t seqslot =
@@ -181,6 +186,11 @@ class alignas(64) Simulator {
   [[nodiscard]] std::size_t heap_entries() const { return heap_.size(); }
 
  private:
+  /// Prints "rtec: Simulator::<call>: <why>" and calls std::terminate.
+  /// Out of line and cold, so each ordering check costs the schedule path
+  /// one predicted branch.
+  [[noreturn, gnu::cold]] static void refuse(const char* call, const char* why);
+
   /// Heap entries are 16 bytes: the event's identity is one packed word,
   /// `seq << kSlotBits | slot`. The sequence number lives in the high bits
   /// so that comparing packed words at equal timestamps is exactly the FIFO
@@ -196,8 +206,9 @@ class alignas(64) Simulator {
   /// simulation and 2^24 concurrently live slots (a slot is only reused
   /// after it frees, so slot count tracks the *peak* pending events, which
   /// at 64+ bytes per slot exhausts memory long before the index space).
-  /// Both are asserted. The top bit selects the injected lane, whose
-  /// identity word is (channel, channel-seq) instead of a local seq:
+  /// The sequence width is checked in every build, the slot count
+  /// asserted. The top bit selects the injected lane, whose identity word
+  /// is (channel, channel-seq) instead of a local seq:
   ///
   ///   bit 63     | bits 53..62 | bits 24..52  | bits 0..23
   ///   lane (0/1) | channel     | channel seq  | slot index

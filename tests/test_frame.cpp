@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+#include <vector>
+
 #include "canbus/frame.hpp"
 #include "util/random.hpp"
 
@@ -138,6 +142,89 @@ TEST(Frame, CrcChangesWithPayload) {
     differ |= fa.bits[static_cast<std::size_t>(i)] !=
               fb.bits[static_cast<std::size_t>(i)];
   EXPECT_TRUE(differ);
+}
+
+// ------------------------------------------ byte-wise vs bit-level encoder
+
+/// Bit-level reference length: serialized region, stuff bits, fixed tail.
+int reference_wire_bits(const CanFrame& f) {
+  const FrameBits fb = frame_stuffable_bits(f);
+  return fb.count +
+         count_stuff_bits(
+             {fb.bits.data(), static_cast<std::size_t>(fb.count)}) +
+         kFrameTailBits;
+}
+
+std::string describe(const CanFrame& f) {
+  char buf[48];
+  std::snprintf(buf, sizeof buf, "%s%s id=0x%x dlc=%d data=",
+                f.extended ? "ext" : "base", f.rtr ? " rtr" : "", f.id,
+                static_cast<int>(f.dlc));
+  std::string out = buf;
+  for (const std::uint8_t byte : f.data) {
+    std::snprintf(buf, sizeof buf, "%02x", byte);
+    out += buf;
+  }
+  return out;
+}
+
+TEST(FrameEncoder, MatchesBitLevelOnRandomFrames) {
+  // Payload bytes are uniform, all-dominant or all-recessive at random, so
+  // long runs cross byte boundaries in every run state.
+  Rng r{151};
+  for (int trial = 0; trial < 200'000; ++trial) {
+    const std::uint64_t shape = r.next_u64();
+    CanFrame f;
+    f.extended = (shape & 1U) != 0;
+    f.rtr = (shape & 6U) == 0;
+    f.id = static_cast<std::uint32_t>(shape >> 32) &
+           (f.extended ? kMaxExtendedId : kMaxBaseId);
+    f.dlc = static_cast<std::uint8_t>((shape >> 3) % 9);
+    const std::uint64_t bytes = r.next_u64();
+    for (std::size_t i = 0; i < f.data.size(); ++i) {
+      const auto kind = (shape >> (8 + 2 * i)) & 3U;
+      f.data[i] = kind == 0   ? std::uint8_t{0x00}
+                  : kind == 1 ? std::uint8_t{0xFF}
+                              : static_cast<std::uint8_t>(bytes >> (8 * i));
+    }
+    ASSERT_EQ(frame_wire_bits(f), reference_wire_bits(f)) << describe(f);
+  }
+}
+
+TEST(FrameEncoder, MatchesBitLevelOnAdversarialFrames) {
+  // Constant fills and runs of four at every bit offset (0x0F rotated by
+  // k), each also repeated across the identifier, plus every single-bit
+  // identifier, for every DLC, format and frame type.
+  std::vector<std::uint8_t> fills{0x00, 0xFF, 0x55};
+  for (int k = 0; k < 8; ++k)
+    fills.push_back(static_cast<std::uint8_t>(0x0F << k | 0x0F >> (8 - k)));
+  int checked = 0;
+  for (const bool extended : {false, true}) {
+    const std::uint32_t id_mask = extended ? kMaxExtendedId : kMaxBaseId;
+    std::vector<std::uint32_t> ids;
+    for (const std::uint8_t fill : fills)
+      ids.push_back(fill * 0x01010101U & id_mask);
+    for (int b = 0; b < (extended ? 29 : 11); ++b) ids.push_back(1U << b);
+    for (const bool rtr : {false, true}) {
+      for (int dlc = 0; dlc <= 8; ++dlc) {
+        for (const std::uint8_t fill : fills) {
+          for (const std::uint32_t id : ids) {
+            CanFrame f;
+            f.extended = extended;
+            f.rtr = rtr;
+            f.id = id;
+            f.dlc = static_cast<std::uint8_t>(dlc);
+            f.data.fill(fill);
+            ASSERT_EQ(frame_wire_bits(f), reference_wire_bits(f))
+                << describe(f);
+            ++checked;
+          }
+        }
+      }
+    }
+  }
+  // formats x types x DLCs x fills x ids (11 patterned + 11 or 29 single-bit)
+  EXPECT_EQ(checked, 2 * 9 * 11 * ((11 + 11) + (11 + 29)));
 }
 
 }  // namespace

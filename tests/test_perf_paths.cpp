@@ -1,5 +1,6 @@
-// Tests for the PR-2 hot-path optimisations: the cached mailbox wire-bit
-// count (and its invalidation rule) and the deque-backed TaskPool.
+// Tests for the hot-path optimisations: per-attempt bus timing from the
+// byte-wise wire length, the memoised arbitration candidate and the
+// deque-backed TaskPool.
 
 #include <gtest/gtest.h>
 
@@ -7,6 +8,7 @@
 
 #include "canbus/bus.hpp"
 #include "canbus/controller.hpp"
+#include "canbus/fault.hpp"
 #include "canbus/frame.hpp"
 #include "sim/simulator.hpp"
 #include "util/task_pool.hpp"
@@ -24,65 +26,11 @@ CanFrame frame_with(std::uint32_t id, int dlc, std::uint8_t fill) {
   return f;
 }
 
-TEST(MailboxWireBits, MatchesFrameWireBits) {
-  Simulator sim;
-  CanController ctl{sim, 1};
-  for (int dlc : {0, 1, 4, 8}) {
-    const CanFrame f = frame_with(0x2A0u + static_cast<std::uint32_t>(dlc),
-                                  dlc, 0x55);
-    auto mb = ctl.submit(f, TxMode::kSingleShot);
-    ASSERT_TRUE(mb.has_value());
-    EXPECT_EQ(ctl.mailbox_wire_bits(*mb), frame_wire_bits(f));
-    // Second call hits the cache; value must be identical.
-    EXPECT_EQ(ctl.mailbox_wire_bits(*mb), frame_wire_bits(f));
-    ASSERT_TRUE(ctl.abort(*mb));
-  }
-}
-
-TEST(MailboxWireBits, RewriteIdInvalidatesCache) {
-  Simulator sim;
-  CanController ctl{sim, 1};
-  // Choose a payload where the arbitration-field bits change the stuffing
-  // outcome: all-zero extended id vs a mixed one.
-  const CanFrame f = frame_with(0x00000000u, 8, 0x00);
-  auto mb = ctl.submit(f, TxMode::kAutoRetransmit);
-  ASSERT_TRUE(mb.has_value());
-  const int before = ctl.mailbox_wire_bits(*mb);
-  EXPECT_EQ(before, frame_wire_bits(f));
-
-  const std::uint32_t new_id = 0x15555555u;
-  ASSERT_TRUE(ctl.rewrite_id(*mb, new_id));
-  CanFrame rewritten = f;
-  rewritten.id = new_id;
-  const int after = ctl.mailbox_wire_bits(*mb);
-  EXPECT_EQ(after, frame_wire_bits(rewritten));
-  // The all-dominant id maximises stuffing; the rewritten one must differ —
-  // this is what catches a stale cache.
-  EXPECT_NE(before, after);
-}
-
-TEST(MailboxWireBits, MailboxReuseRecomputes) {
-  Simulator sim;
-  CanController ctl{sim, 1};
-  const CanFrame small = frame_with(0x100u, 0, 0);
-  const CanFrame big = frame_with(0x100u, 8, 0xFF);
-
-  auto mb1 = ctl.submit(small, TxMode::kSingleShot);
-  ASSERT_TRUE(mb1.has_value());
-  const int small_bits = ctl.mailbox_wire_bits(*mb1);
-  ASSERT_TRUE(ctl.abort(*mb1));
-
-  // Resubmitting into the now-free mailbox must not see the old cache.
-  auto mb2 = ctl.submit(big, TxMode::kSingleShot);
-  ASSERT_TRUE(mb2.has_value());
-  EXPECT_EQ(*mb1, *mb2);  // same physical mailbox recycled
-  EXPECT_EQ(ctl.mailbox_wire_bits(*mb2), frame_wire_bits(big));
-  EXPECT_NE(ctl.mailbox_wire_bits(*mb2), small_bits);
-}
-
-TEST(MailboxWireBits, BusTimingUnchangedByCache) {
-  // End-to-end: the bus must compute the same end-of-frame times as the
-  // uncached serialization (timing is derived from the same bit count).
+// Bus occupancy is derived from frame_wire_bits on every attempt: a first
+// attempt ends exactly one frame length after SOF, and a retransmission
+// after a corrupted attempt pays the error frame, the intermission and the
+// whole frame again.
+TEST(WireBitsTiming, FrameEndsAfterExactWireBits) {
   Simulator sim;
   CanBus bus{sim, BusConfig{}};
   CanController tx{sim, 1};
@@ -100,6 +48,38 @@ TEST(MailboxWireBits, BusTimingUnchangedByCache) {
   sim.run();
   ASSERT_EQ(got, 1);
   const Duration expected = BusConfig{}.bit_time() * frame_wire_bits(f);
+  EXPECT_EQ((eof - TimePoint::origin()).ns(), expected.ns());
+}
+
+TEST(WireBitsTiming, RetransmissionRepeatsExactWireBits) {
+  Simulator sim;
+  CanBus bus{sim, BusConfig{}};
+  CanController tx{sim, 1};
+  CanController rx{sim, 2};
+  bus.attach(tx);
+  bus.attach(rx);
+  // All-dominant payload: heavy stuffing, so a wrong length shows.
+  const CanFrame f = frame_with(0x00000000u, 8, 0x00);
+  ScriptedFaults faults{0.5};
+  faults.add_rule([](const FaultContext& ctx) { return ctx.attempt == 1; });
+  bus.set_fault_model(&faults);
+  std::vector<int> occupied;
+  bus.add_observer(
+      [&](const CanBus::FrameEvent& ev) { occupied.push_back(ev.wire_bits); });
+  TimePoint eof = TimePoint::origin();
+  int got = 0;
+  rx.add_rx_listener([&](const CanFrame&, TimePoint t) {
+    eof = t;
+    ++got;
+  });
+  ASSERT_TRUE(tx.submit(f, TxMode::kAutoRetransmit).has_value());
+  sim.run();
+  ASSERT_EQ(got, 1);
+  const int wire = frame_wire_bits(f);
+  const int error_attempt = (wire + 1) / 2 + kErrorFrameBits;
+  EXPECT_EQ(occupied, (std::vector<int>{error_attempt, wire}));
+  const Duration expected =
+      BusConfig{}.bit_time() * (error_attempt + kIntermissionBits + wire);
   EXPECT_EQ((eof - TimePoint::origin()).ns(), expected.ns());
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -131,6 +132,63 @@ TEST(Simulator, InterleavedScheduleCancelFromCallbacks) {
   victim = sim.schedule_at(TimePoint::origin() + 3_us, [&] { fired += 100; });
   sim.run();
   EXPECT_EQ(fired, 2);  // victim never ran
+}
+
+// The ordering invariants hold in every build, not only under assert: a
+// past timestamp, or an injected identity wider than its field, would
+// silently reorder events. The 2^39 local sequence space has no test seam
+// (reaching it takes 2^39 schedule calls), so only its neighbours are
+// exercised here.
+TEST(SimulatorDeathTest, ScheduleIntoThePastTerminatesInEveryBuild) {
+  EXPECT_DEATH(
+      {
+        Simulator sim;
+        sim.run_until(TimePoint::origin() + 10_us);
+        sim.schedule_at(TimePoint::origin() + 5_us, [] {});
+      },
+      "rtec: Simulator::schedule_at: cannot schedule into the past");
+  EXPECT_DEATH(
+      {
+        Simulator sim;
+        sim.schedule_after(-1_ns, [] {});
+      },
+      "rtec: Simulator::schedule_at: cannot schedule into the past");
+}
+
+TEST(SimulatorDeathTest, InjectIntoThePastTerminatesInEveryBuild) {
+  EXPECT_DEATH(
+      {
+        Simulator sim;
+        sim.run_until(TimePoint::origin() + 10_us);
+        sim.schedule_injected(TimePoint::origin() + 5_us, 0, 0, [] {});
+      },
+      "rtec: Simulator::schedule_injected: cannot inject into the past");
+}
+
+TEST(SimulatorDeathTest, InjectedIdentityWiderThanItsFieldTerminates) {
+  constexpr std::uint64_t kSeqLimit = std::uint64_t{1} << 29;
+  constexpr std::uint32_t kChannelLimit = std::uint32_t{1}
+                                          << Simulator::kChannelBits;
+  // The largest channel and sequence still fit.
+  Simulator sim;
+  int fired = 0;
+  sim.schedule_injected(TimePoint::origin(), kChannelLimit - 1, kSeqLimit - 1,
+                        [&] { ++fired; });
+  sim.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_DEATH(
+      {
+        Simulator s;
+        s.schedule_injected(TimePoint::origin(), 0, kSeqLimit, [] {});
+      },
+      "rtec: Simulator::schedule_injected: handoff channel sequence space "
+      "exhausted");
+  EXPECT_DEATH(
+      {
+        Simulator s;
+        s.schedule_injected(TimePoint::origin(), kChannelLimit, 0, [] {});
+      },
+      "rtec: Simulator::schedule_injected: handoff channel id space exhausted");
 }
 
 // --------------------------------------------------------------- local clock

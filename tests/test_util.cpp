@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "util/bytes.hpp"
 #include "util/crc15.hpp"
 #include "util/expected.hpp"
@@ -234,6 +236,29 @@ TEST(Crc15, DetectsBitFlips) {
     const auto flip = static_cast<std::size_t>(r.uniform_int(0, 63));
     bits[flip] = !bits[flip];
     EXPECT_NE(crc15(bits), base) << "single-bit flip undetected";
+  }
+}
+
+TEST(Crc15, TableMatchesBitSerialOnEveryLength) {
+  // The table path over the bits packed MSB-first and left-padded with
+  // zeros to a byte boundary equals the crc15_step fold over the bits alone.
+  Rng r{1511};
+  for (std::size_t len = 1; len <= 127; ++len) {
+    for (int trial = 0; trial < 20; ++trial) {
+      bool bits[127]{};
+      std::array<std::uint8_t, 16> bytes{};
+      const std::size_t pad = (8 - len % 8) % 8;
+      for (std::size_t i = 0; i < len; ++i) {
+        bits[i] = r.bernoulli(0.5);
+        if (bits[i])
+          bytes[(pad + i) / 8] |=
+              static_cast<std::uint8_t>(0x80U >> ((pad + i) % 8));
+      }
+      std::uint16_t table_crc = 0;
+      for (std::size_t k = 0; k < (pad + len) / 8; ++k)
+        table_crc = crc15_byte(table_crc, bytes[k]);
+      ASSERT_EQ(table_crc, crc15({bits, len})) << "length " << len;
+    }
   }
 }
 
